@@ -138,7 +138,7 @@ func BenchmarkConvert(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		out, err := kvbuf.Convert(in, arena, 64<<10, kvbuf.DefaultHint())
+		out, err := kvbuf.Convert(nil, in, arena, 64<<10, kvbuf.DefaultHint(), 1, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

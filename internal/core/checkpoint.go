@@ -60,11 +60,9 @@ func (j *Job) saveCheckpoint() error {
 	var header [16]byte
 	binary.LittleEndian.PutUint64(header[0:], ckptMagic)
 	var count uint64
-	scan := func(fn func(k, v []byte) error) error {
-		if j.prBkt != nil || j.prShard != nil {
-			return j.prScan(fn)
-		}
-		return j.recvKVC.Scan(fn)
+	scan := j.recvKVC.Scan
+	if j.prBucket != nil {
+		scan = j.prBucket.Scan
 	}
 	// First pass to count (cheap; data is in memory).
 	if err := scan(func(k, v []byte) error { count++; return nil }); err != nil {
@@ -111,38 +109,25 @@ func (j *Job) restoreCheckpoint() error {
 
 	var got uint64
 	if j.cfg.PartialReduce != nil {
-		var put func(k, v []byte) error
-		if j.prParallel() {
-			// Restore into the sharded form so finish takes the same path as
-			// a live run; sequence numbers follow checkpoint order, which is
-			// the serial insertion order the checkpoint was scanned in.
-			j.prShard, err = kvbuf.NewShardedBucket(j.cfg.Arena, j.cfg.PageSize, j.workers())
-			if err != nil {
-				return err
-			}
-			put = func(k, v []byte) error {
-				cur := j.prSeq
-				j.prSeq++
-				// Checkpointed entries are unique per key; the merge never runs.
-				return j.prShard.Upsert(j.prShard.ShardOf(k), cur, k, v,
-					func(existing, incoming []byte) ([]byte, error) { return incoming, nil })
-			}
-		} else {
-			j.prBkt, err = newBucketForJob(j)
-			if err != nil {
-				return err
-			}
-			// Checkpointed bucket entries are already unique per key.
-			put = j.prBkt.Put
+		// Restore into the bucket a live run builds, so finish takes the
+		// same path; sequence numbers follow checkpoint order, which is the
+		// insertion order the checkpoint was scanned in.
+		if j.prBucket, err = newPRBucket(j); err != nil {
+			return err
 		}
 		for pos := 0; pos < len(payload); {
 			k, v, n, err := j.cfg.Hint.Decode(payload[pos:])
 			if err != nil {
 				return fmt.Errorf("core: corrupt checkpoint record: %w", err)
 			}
-			if err := put(k, v); err != nil {
+			h := kvbuf.HashKey(k)
+			// Checkpointed entries are unique per key; the merge never runs.
+			err = j.prBucket.Upsert(j.prBucket.ShardOf(h), j.prSeq, h, k, v,
+				func(existing, incoming []byte) ([]byte, error) { return incoming, nil })
+			if err != nil {
 				return err
 			}
+			j.prSeq++
 			pos += n
 			got++
 		}

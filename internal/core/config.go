@@ -177,17 +177,17 @@ type Config struct {
 	// both convert passes, partial reduction, and reduce shard their work
 	// across this many goroutines, while every result — output bytes, page
 	// layout, exchange rounds, checkpoint files — stays byte-identical to a
-	// serial run. 1 is the serial path; 0 (the default) uses
+	// serial run. 1 runs every phase as one shard; 0 (the default) uses
 	// runtime.GOMAXPROCS(0), the hybrid MPI+threads layout of one process
 	// per node spanning its cores. Simulated time charges the slowest
 	// worker per phase (the max rule, like the overlap window), so Workers
 	// also models intra-node parallelism in the cost model. With Workers >
 	// 1 the map and reduce callbacks and any Combiner/PartialReduce/
 	// Partitioner functions must be safe for concurrent calls (pure
-	// functions, as all paper workloads are). Container-phase sharding
-	// engages only for purely in-memory jobs (OutOfCore: Error); under a
-	// spill policy the store serializes container access and only the map
-	// fan-out applies.
+	// functions, as all paper workloads are). The container phases split
+	// into Workers shards only for purely in-memory jobs (OutOfCore:
+	// Error); under a spill policy the store serializes container access,
+	// so they run as one shard and only the map fans out.
 	Workers int
 	// Partitioner overrides the strategy that assigns keys to ranks ("Users
 	// can provide alternative hash functions that suit their needs"). Nil

@@ -5,10 +5,11 @@ package core
 // phase shards its input deterministically, stages its effects privately,
 // and replays them in worker order, so the bytes any observer sees — send
 // partitions, exchange rounds, containers, checkpoints, output pages — are
-// identical to the serial schedule's. Simulated time charges the slowest
-// worker per phase (the max rule, mirroring the overlap window's
-// max(compute, comm)), and sum/(W·max) is reported as the phase's parallel
-// efficiency.
+// identical for every worker count. The container phases (partial
+// reduction, convert, reduce) run one code path for every count: Workers=1
+// is its one-shard case. Simulated time charges the slowest worker per
+// phase (the max rule, mirroring the overlap window's max(compute, comm)),
+// and sum/(W·max) is reported as the phase's parallel efficiency.
 
 import (
 	"fmt"
@@ -21,45 +22,121 @@ import (
 // workers returns the rank's configured pool size (>= 1 after defaults).
 func (j *Job) workers() int { return j.cfg.Workers }
 
-// containersParallel reports whether container phases (partial reduction,
-// convert, reduce) shard across the pool. The spill store is the rank's one
-// non-thread-safe shared dependency — its lock is a no-op without a spill
-// group and it charges the rank clock from whichever goroutine calls it —
-// so container sharding engages only for purely in-memory jobs. The map
-// fan-out never touches the store and stays on for every policy; output is
-// byte-identical either way.
-func (j *Job) containersParallel() bool {
-	return j.workers() > 1 && j.store == nil
+// shards returns how many ways the container phases (partial reduction,
+// convert, reduce) split their keys or records. The spill store is the
+// rank's one non-thread-safe shared dependency — its lock is a no-op
+// without a spill group and it charges the rank clock from whichever
+// goroutine calls it — so a job with a store runs its containers as one
+// shard. The map fan-out never touches the store and uses every worker
+// under every policy; output is byte-identical either way.
+func (j *Job) shards() int {
+	if j.store != nil {
+		return 1
+	}
+	return j.workers()
 }
 
-// prParallel reports whether the partial-reduction bucket is sharded.
-func (j *Job) prParallel() bool {
-	return j.cfg.PartialReduce != nil && j.containersParallel()
+// pool is a job's set of long-lived fan-out workers. Worker 0 is the
+// calling goroutine; workers 1..n-1 park on their own start channel between
+// fan-outs, so a fan-out costs channel hand-offs, not goroutines or
+// allocations.
+type pool struct {
+	start  []chan struct{} // start[w] wakes worker w >= 1
+	errs   []error
+	fn     func(w int) error
+	wg     sync.WaitGroup // one fan-out's workers
+	exited sync.WaitGroup // the parked goroutines, for stop
 }
 
-// parallelDo runs fn(w) for w in [0, workers) concurrently and returns the
-// lowest-numbered worker's error, so a multi-worker failure reports the
-// same error on every run regardless of goroutine scheduling.
-func parallelDo(workers int, fn func(w int) error) error {
-	if workers == 1 {
+func startPool(n int) *pool {
+	p := &pool{start: make([]chan struct{}, n), errs: make([]error, n)}
+	p.exited.Add(n - 1)
+	for w := 1; w < n; w++ {
+		p.start[w] = make(chan struct{})
+		go p.work(w)
+	}
+	return p
+}
+
+func (p *pool) work(w int) {
+	defer p.exited.Done()
+	for range p.start[w] {
+		p.errs[w] = p.fn(w)
+		p.wg.Done()
+	}
+}
+
+// run is a kvbuf.Fanout over the pool's first n workers: it runs fn(w) for
+// w in [0, n) and returns the lowest-numbered worker's error, so a
+// multi-worker failure reports the same error on every run regardless of
+// scheduling. One worker needs no pool (p may be nil).
+func (p *pool) run(n int, fn func(w int) error) error {
+	if n == 1 {
 		return fn(0)
 	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
+	p.fn = fn
+	p.wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		p.start[w] <- struct{}{}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	p.errs[0] = fn(0)
+	p.wg.Wait()
+	p.fn = nil
+	for _, err := range p.errs[:n] {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stop ends the parked workers and returns once they have exited. The
+// pool is unusable afterwards.
+func (p *pool) stop() {
+	for _, c := range p.start[1:] {
+		close(c)
+	}
+	p.exited.Wait()
+}
+
+// meter is one container worker's simulated-compute account. With one
+// shard the worker is the rank goroutine and the meter advances the rank
+// clock at once, exactly where a serial loop would; with several it
+// accumulates, and settle charges the slowest worker after the join.
+type meter struct {
+	clock *simtime.Clock // set: one shard, charge immediately
+	sec   float64
+}
+
+func (m *meter) charge(sec float64) {
+	if m.clock != nil {
+		m.clock.Advance(sec, simtime.Compute)
+		return
+	}
+	m.sec += sec
+}
+
+// fanout runs fn on the first n container workers (n <= shards) and
+// settles their meters into acc.
+func (j *Job) fanout(n int, acc *parAcc, fn func(w int) error) error {
+	err := j.pool.run(n, fn)
+	j.settle(n, acc)
+	return err
+}
+
+// settle charges the slowest of the first n meters to the rank clock,
+// folding all n into acc, and zeroes them. One shard's meter has already
+// charged as it went.
+func (j *Job) settle(n int, acc *parAcc) {
+	if j.shards() == 1 {
+		return
+	}
+	costs := j.costs[:n]
+	for w := range costs {
+		costs[w] = j.meters[w].sec
+		j.meters[w].sec = 0
+	}
+	j.charge(acc.add(costs), simtime.Compute)
 }
 
 // parAcc accumulates one phase's per-worker compute so the rank can charge
@@ -139,9 +216,9 @@ func (b *recBatch) at(sp recSpan) (k, v []byte) {
 
 // stagedKVs is one worker's private map-output staging. Emitted KVs land in
 // plain Go memory — scaffolding bounded by the batch size, deliberately not
-// arena-charged — and are replayed through the serial emit path in worker
-// order, which equals original record order because workers own contiguous
-// record chunks.
+// arena-charged, and reused batch after batch — and are replayed through
+// the serial emit path in worker order, which equals original record order
+// because workers own contiguous record chunks.
 type stagedKVs struct {
 	costs *Costs
 	buf   []byte
@@ -173,11 +250,10 @@ func (j *Job) flushMapBatch(b *recBatch, mapFn MapFunc) error {
 	if w > n {
 		w = n
 	}
-	stages := make([]*stagedKVs, w)
-	costs := make([]float64, w)
-	err := parallelDo(w, func(i int) error {
-		st := &stagedKVs{costs: &j.cfg.Costs}
-		stages[i] = st
+	stages := j.mapStages[:w]
+	err := j.pool.run(w, func(i int) error {
+		st := &stages[i]
+		st.buf, st.spans, st.cost = st.buf[:0], st.spans[:0], 0
 		for _, sp := range b.spans[n*i/w : n*(i+1)/w] {
 			k, v := b.at(sp)
 			st.cost += float64(sp.klen+sp.vlen) * j.cfg.Costs.MapPerByte
@@ -187,16 +263,16 @@ func (j *Job) flushMapBatch(b *recBatch, mapFn MapFunc) error {
 		}
 		return nil
 	})
-	for i, st := range stages {
-		if st != nil {
-			costs[i] = st.cost
-		}
+	costs := j.costs[:w]
+	for i := range stages {
+		costs[i] = stages[i].cost
 	}
 	j.charge(j.parMap.add(costs), simtime.Compute)
 	if err != nil {
 		return err
 	}
-	for _, st := range stages {
+	for i := range stages {
+		st := &stages[i]
 		for _, sp := range st.spans {
 			k := st.buf[sp.off : sp.off+sp.klen]
 			v := st.buf[sp.off+sp.klen : sp.off+sp.klen+sp.vlen]
@@ -209,27 +285,18 @@ func (j *Job) flushMapBatch(b *recBatch, mapFn MapFunc) error {
 	return nil
 }
 
-// prScan walks the partial-reduction result in serial insertion order,
-// whichever bucket form holds it.
-func (j *Job) prScan(fn func(k, v []byte) error) error {
-	if j.prShard != nil {
-		return j.prShard.Scan(fn)
-	}
-	return j.prBkt.Scan(fn)
-}
-
-// consumeRoundSharded folds one exchange round's received chunks into the
-// sharded partial-reduction bucket on the pool. Every worker decodes the
-// full round (chunks are read-only and Decode returns aliases into them)
-// and upserts only its own shard's keys, tagging each KV with its global
-// arrival sequence — continued across rounds via prSeq — so the merged
-// scan reproduces the serial bucket's insertion order exactly.
-func (j *Job) consumeRoundSharded(recv [][]byte) error {
-	w := j.workers()
-	costs := make([]float64, w)
+// consumeRoundPR folds one exchange round's received chunks into the
+// partial-reduction bucket on the container workers. Every worker decodes
+// the full round (chunks are read-only and Decode returns aliases into
+// them), hashes each key once, and upserts only its own shard's keys,
+// tagging each KV with its global arrival sequence — continued across
+// rounds via prSeq — so the merged scan reproduces one-shard insertion
+// order exactly. A worker's compute is the encoded bytes it folded.
+func (j *Job) consumeRoundPR(recv [][]byte) error {
 	var total uint64
-	err := parallelDo(w, func(i int) error {
+	err := j.fanout(j.shards(), &j.parAggr, func(w int) error {
 		seq := j.prSeq
+		var folded int
 		for _, chunk := range recv {
 			for pos := 0; pos < len(chunk); {
 				k, v, n, err := j.cfg.Hint.Decode(chunk[pos:])
@@ -239,11 +306,12 @@ func (j *Job) consumeRoundSharded(recv [][]byte) error {
 				pos += n
 				cur := seq
 				seq++
-				if j.prShard.ShardOf(k) != i {
+				h := kvbuf.HashKey(k)
+				if j.prBucket.ShardOf(h) != w {
 					continue
 				}
-				costs[i] += float64(n) * j.cfg.Costs.KVPerByte
-				err = j.prShard.Upsert(i, cur, k, v, func(existing, incoming []byte) ([]byte, error) {
+				folded += n
+				err = j.prBucket.Upsert(w, cur, h, k, v, func(existing, incoming []byte) ([]byte, error) {
 					return j.cfg.PartialReduce(k, existing, incoming)
 				})
 				if err != nil {
@@ -251,12 +319,12 @@ func (j *Job) consumeRoundSharded(recv [][]byte) error {
 				}
 			}
 		}
-		if i == 0 {
+		j.meters[w].charge(float64(folded) * j.cfg.Costs.KVPerByte)
+		if w == 0 {
 			total = seq - j.prSeq
 		}
 		return nil
 	})
-	j.charge(j.parAggr.add(costs), simtime.Compute)
 	if err != nil {
 		return err
 	}
@@ -271,64 +339,58 @@ func (j *Job) consumeRoundSharded(recv [][]byte) error {
 // worker is alive beyond the final output at any moment).
 const reduceBatchRecords = 1024
 
-// stagedReduceEmitter is one reduce worker's private output staging: an
-// ordinary arena-charged KV container, drained into the job output in
-// worker order after the batch joins.
-type stagedReduceEmitter struct {
+// reduceEmitter is one reduce worker's output: the job output itself for
+// worker 0, a private arena-charged staging container for the others.
+type reduceEmitter struct {
 	costs *Costs
 	kvc   *kvbuf.KVC
-	cost  *float64
+	m     *meter
 }
 
-func (e *stagedReduceEmitter) Emit(k, v []byte) error {
-	*e.cost += e.costs.PerRecord + float64(len(k)+len(v))*e.costs.ReducePerByte
+func (e *reduceEmitter) Emit(k, v []byte) error {
+	e.m.charge(e.costs.PerRecord + float64(len(k)+len(v))*e.costs.ReducePerByte)
 	return e.kvc.Append(k, v)
 }
 
-// reduceParallel runs reduceFn over contiguous KMV record ranges on the
-// pool. Records partition by index, so value iterators never race; staging
-// drains into out in worker order, reproducing the serial append sequence —
-// and therefore the exact output page layout — batch by batch.
-func (j *Job) reduceParallel(kmv *kvbuf.KMVC, reduceFn ReduceFunc, out *kvbuf.KVC) error {
+// reduce runs reduceFn over contiguous KMV record ranges on the container
+// workers. Records partition by index, so value iterators never race.
+// Worker 0 appends straight into out; the others stage and are drained
+// into out in worker order, reproducing the one-shard append sequence —
+// and therefore the exact output page layout — batch by batch. With one
+// shard this is a plain serial loop with no staging.
+func (j *Job) reduce(kmv *kvbuf.KMVC, reduceFn ReduceFunc, out *kvbuf.KVC) error {
+	shards := j.shards()
+	emit := make([]reduceEmitter, shards)
+	for i := range emit {
+		emit[i] = reduceEmitter{costs: &j.cfg.Costs, kvc: out, m: &j.meters[i]}
+		if i > 0 {
+			emit[i].kvc = kvbuf.NewKVC(j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
+			defer emit[i].kvc.Free()
+		}
+	}
 	n := kmv.NumKMV()
 	for lo := 0; lo < n; lo += reduceBatchRecords {
 		cnt := n - lo
 		if cnt > reduceBatchRecords {
 			cnt = reduceBatchRecords
 		}
-		w := j.workers()
+		w := shards
 		if w > cnt {
 			w = cnt
 		}
-		stages := make([]*kvbuf.KVC, w)
-		costs := make([]float64, w)
-		err := parallelDo(w, func(i int) error {
-			st := kvbuf.NewKVC(j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
-			stages[i] = st
-			em := &stagedReduceEmitter{costs: &j.cfg.Costs, kvc: st, cost: &costs[i]}
+		err := j.fanout(w, &j.parReduce, func(i int) error {
+			em := &emit[i]
 			return kmv.ScanRange(lo+cnt*i/w, lo+cnt*(i+1)/w, func(key []byte, vals *kvbuf.ValueIter) error {
-				costs[i] += j.cfg.Costs.PerRecord
+				em.m.charge(j.cfg.Costs.PerRecord)
 				return reduceFn(key, vals, em)
 			})
 		})
-		j.charge(j.parReduce.add(costs), simtime.Compute)
 		if err != nil {
-			for _, st := range stages {
-				if st != nil {
-					st.Free()
-				}
-			}
 			return err
 		}
-		for i, st := range stages {
-			drainErr := st.Drain(func(k, v []byte) error {
-				return out.Append(k, v)
-			})
-			if drainErr != nil {
-				for _, rest := range stages[i:] {
-					rest.Free()
-				}
-				return drainErr
+		for _, em := range emit[1:w] {
+			if err := em.kvc.Drain(out.Append); err != nil {
+				return err
 			}
 		}
 	}

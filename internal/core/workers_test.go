@@ -351,8 +351,9 @@ func TestWorkersCheckpointPartialReduce(t *testing.T) {
 
 // TestWorkersSimtimeMaxRule checks the cost model: with nonzero costs, a
 // pool run's simulated time is no longer than serial (max over workers
-// never exceeds the sum), phase efficiencies land in (0, 1], and at 8
-// workers the map phase shows a real speedup over serial.
+// never exceeds the sum), phase efficiencies land in (0, 1], at 8 workers
+// the map phase shows a real speedup over serial, and convert never shows
+// a superlinear one.
 func TestWorkersSimtimeMaxRule(t *testing.T) {
 	const p = 2
 	lines := propLines(3, 600)
@@ -382,6 +383,29 @@ func TestWorkersSimtimeMaxRule(t *testing.T) {
 	}
 	if speedup := serial.Map / par.Map; speedup < 2 {
 		t.Errorf("map speedup at 8 workers is %.2fx, want >= 2x", speedup)
+	}
+	// Convert work is a shard's encoded bytes under every worker count, so
+	// W workers can at best split the serial charge evenly, never beat it.
+	// The one-rank runs keep every key hash in play for the shards.
+	if par.Convert < serial.Convert/8 {
+		t.Errorf("convert at 8 workers took %.6fs, below serial/8 = %.6fs", par.Convert, serial.Convert/8)
+	}
+	convert := func(workers int) float64 {
+		_, stats, err := runWCRaw(t, 1, lines, 0, func(cfg *Config) {
+			cfg.Costs = costs
+			cfg.Workers = workers
+		})
+		if err != nil {
+			t.Fatalf("1 rank, workers=%d: %v", workers, err)
+		}
+		return stats[0].Phases.Convert
+	}
+	one := convert(1)
+	for _, w := range []int{2, 8} {
+		if c := convert(w); c < one/float64(w) {
+			t.Errorf("1 rank: convert at %d workers took %.6fs, below serial/%d = %.6fs — superlinear",
+				w, c, w, one/float64(w))
+		}
 	}
 }
 

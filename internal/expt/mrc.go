@@ -152,6 +152,7 @@ func mrcRun(s MRCSpec, job Bench, v mrcVariant, ranks int) MRCCell {
 		me := workloads.NewMimirEngine(c, arena)
 		me.PageSize = plat.PageSize
 		me.CommBuf = plat.PageSize
+		me.Workers = 1 // machine-independent figures: never GOMAXPROCS
 		me.Costs = costs
 		opts := workloads.StageOpts{}
 		mr := workloads.MultiRound{OnRound: func(round int) error {

@@ -236,7 +236,7 @@ func TestConvertGroupsValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := Convert(in, a, 256, DefaultHint())
+	out, err := Convert(nil, in, a, 256, DefaultHint(), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestConvertMatchesReferenceProperty(t *testing.T) {
 			}
 			ref[k] = append(ref[k], string(v))
 		}
-		out, err := Convert(in, a, 512, hint)
+		out, err := Convert(nil, in, a, 512, hint, 1, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -326,7 +326,7 @@ func TestConvertMatchesReferenceProperty(t *testing.T) {
 func TestConvertEmptyInput(t *testing.T) {
 	a := mem.NewArena(0)
 	in := NewKVC(a, 256, DefaultHint())
-	out, err := Convert(in, a, 256, DefaultHint())
+	out, err := Convert(nil, in, a, 256, DefaultHint(), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestConvertOOM(t *testing.T) {
 			t.Fatalf("setup append %d: %v", i, err)
 		}
 	}
-	_, err := Convert(in, a, 512, DefaultHint())
+	_, err := Convert(nil, in, a, 512, DefaultHint(), 1, nil, nil)
 	if !errors.Is(err, mem.ErrNoMemory) {
 		t.Fatalf("Convert = %v, want ErrNoMemory", err)
 	}

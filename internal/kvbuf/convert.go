@@ -3,7 +3,6 @@ package kvbuf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"mimir/internal/mem"
 )
@@ -20,45 +19,81 @@ import (
 // are consumed, so peak memory is (input + index) during pass 1 and roughly
 // max(input, output) + index during pass 2 — never input + output + slack
 // as in MR-MPI's static page model.
-func Convert(in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) {
-	return ConvertOn(nil, in, arena, pageSize, hint)
-}
+//
+// Both passes are sharded across shards workers run by fan (which may be
+// nil for one shard). Keys are partitioned by hash; every worker decodes
+// the full input stream (a cheap sequential scan) and processes only its
+// shard's KVs, so no two workers ever touch the same index entry or the
+// same KMV record. The record reservation between the passes stays serial
+// over the index's sequence-merged scan, which reproduces the one-shard
+// first-appearance order: the output is byte-identical for every shard
+// count, record ids included. Pass 2 releases each input page the moment
+// every worker has scattered its shard's values out of it.
+//
+// A non-nil store registers the output KMVC's pages for out-of-core
+// eviction and routes the index's arena charges through it. Both passes
+// then stream: pass 1 pins the (possibly spilled) input pages one at a
+// time, pass 2 scatters into pinned output pages, so residency never
+// doubles even when both containers exceed the watermark. The per-key index
+// stays purely in memory — it is random-access on every KV. The store is
+// not safe for concurrent use, so it requires shards == 1.
+//
+// charge, if non-nil, is told each shard's work: the encoded bytes of the
+// KVs its keys own. A lone shard owns the whole container and is told
+// before pass 1; several shards are told as pass 1 finishes counting.
+func Convert(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hint, shards int, fan Fanout, charge func(shard int, bytes int64)) (*KMVC, error) {
+	if store != nil && shards > 1 {
+		return nil, fmt.Errorf("kvbuf: convert on a page store needs one shard, got %d", shards)
+	}
+	run := func(fn func(w int) error) error {
+		if shards == 1 {
+			return fn(0)
+		}
+		return fan(shards, fn)
+	}
+	if charge == nil {
+		charge = func(int, int64) {}
+	}
 
-// ConvertOn is Convert with the output KMVC's pages registered on a
-// PageStore for out-of-core eviction. Both passes stream: pass 1 pins the
-// (possibly spilled) input pages one at a time while reserving records,
-// pass 2 drains the input while scattering values into pinned output
-// pages, so residency never doubles even when both containers exceed the
-// watermark. The per-key index bucket stays purely in-memory — it is
-// random-access on every KV and must live in the arena headroom above the
-// watermark.
-func ConvertOn(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) {
 	// Pass 1: per-key statistics in a hash bucket. Values are fixed 12-byte
 	// records: [count uint32][valBytes uint32][recID uint32].
-	idx, err := NewBucketOn(store, arena, pageSize)
+	idx, err := NewShardedBucket(store, arena, pageSize, shards)
 	if err != nil {
 		return nil, err
 	}
 	defer idx.Free()
 
-	var stat [12]byte
-	err = in.Scan(func(k, v []byte) error {
-		binary.LittleEndian.PutUint32(stat[0:], 1)
-		binary.LittleEndian.PutUint32(stat[4:], uint32(len(v)))
-		binary.LittleEndian.PutUint32(stat[8:], 0)
-		return idx.Upsert(k, stat[:], func(existing, incoming []byte) ([]byte, error) {
-			count := binary.LittleEndian.Uint32(existing[0:]) + 1
-			vb := binary.LittleEndian.Uint32(existing[4:]) + binary.LittleEndian.Uint32(incoming[4:])
-			binary.LittleEndian.PutUint32(existing[0:], count)
-			binary.LittleEndian.PutUint32(existing[4:], vb)
-			return existing, nil
+	if shards == 1 {
+		charge(0, in.Bytes())
+	}
+	err = run(func(w int) error {
+		var stat [12]byte
+		var seq uint64
+		var work int64
+		err := in.Scan(func(k, v []byte) error {
+			cur := seq
+			seq++
+			h := HashKey(k)
+			if idx.ShardOf(h) != w {
+				return nil
+			}
+			work += int64(hint.EncodedSize(k, v))
+			binary.LittleEndian.PutUint32(stat[0:], 1)
+			binary.LittleEndian.PutUint32(stat[4:], uint32(len(v)))
+			binary.LittleEndian.PutUint32(stat[8:], 0)
+			return idx.Upsert(w, cur, h, k, stat[:], mergeStat)
 		})
+		if shards > 1 {
+			charge(w, work)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Reserve all records in first-appearance order (deterministic output).
+	// Reserve all records serially in first-appearance order (deterministic
+	// output).
 	out := NewKMVCOn(store, arena, pageSize, hint)
 	err = idx.Scan(func(k, v []byte) error {
 		count := int(binary.LittleEndian.Uint32(v[0:]))
@@ -75,14 +110,35 @@ func ConvertOn(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hi
 		return nil, err
 	}
 
-	// Pass 2: scatter values; drain the input as its pages are consumed.
-	err = in.Drain(func(k, v []byte) error {
-		sv, ok := idx.Get(k)
-		if !ok {
-			return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
+	// Pass 2: scatter values page by page, draining the input: all workers
+	// finish a page before it is freed, and the container is empty
+	// afterwards, even on error.
+	var page *mem.Page
+	scatter := func(w int) error {
+		return in.scanPage(page, func(k, v []byte) error {
+			h := HashKey(k)
+			if idx.ShardOf(h) != w {
+				return nil
+			}
+			sv, ok := idx.Get(h, k)
+			if !ok {
+				return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
+			}
+			return out.AppendValue(int(binary.LittleEndian.Uint32(sv[8:])), v)
+		})
+	}
+	npages := in.buf.numPages()
+	in.nkv = 0
+	for i := 0; i < npages; i++ {
+		if err == nil {
+			if page, err = in.buf.pinPage(i); err == nil {
+				err = run(scatter)
+				in.buf.unpinPage(i)
+			}
 		}
-		return out.AppendValue(int(binary.LittleEndian.Uint32(sv[8:])), v)
-	})
+		in.buf.freePage(i)
+	}
+	in.buf.clear()
 	if err != nil {
 		out.Free()
 		return nil, err
@@ -90,139 +146,11 @@ func ConvertOn(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hi
 	return out, nil
 }
 
-// ConvertParallel is Convert with both passes sharded across a worker pool.
-// Keys are partitioned by hash into one shard per worker; every worker
-// decodes the full input stream (a cheap sequential scan) and processes
-// only its shard's KVs, so no two workers ever touch the same index entry
-// or the same KMV record. The record reservation between the passes stays
-// serial over the sharded index's sequence-merged scan, which reproduces
-// the single-bucket first-appearance order — the output KMVC is therefore
-// byte-identical to Convert's, record ids included.
-//
-// Pass 2 keeps Convert's drain property: each input page is released the
-// moment every worker has scattered its shard's values out of it, so peak
-// memory stays max(input, output) + index rather than their sum.
-//
-// The input container must not be registered on a PageStore (parallel
-// container phases are the purely in-memory execution mode; the caller
-// falls back to ConvertOn otherwise). The returned slice holds the per-
-// worker key+value bytes processed, for max-over-workers time accounting.
-func ConvertParallel(in *KVC, arena *mem.Arena, pageSize int, hint Hint, workers int) (*KMVC, []int64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	// Pass 1: per-key statistics, sharded. Same 12-byte stat records as the
-	// serial pass: [count uint32][valBytes uint32][recID uint32].
-	idx, err := NewShardedBucket(arena, pageSize, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer idx.Free()
-
-	work := make([]int64, workers)
-	if err := parallelShards(workers, func(w int) error {
-		var stat [12]byte
-		var seq uint64
-		return in.Scan(func(k, v []byte) error {
-			cur := seq
-			seq++
-			if idx.ShardOf(k) != w {
-				return nil
-			}
-			work[w] += int64(len(k) + len(v))
-			binary.LittleEndian.PutUint32(stat[0:], 1)
-			binary.LittleEndian.PutUint32(stat[4:], uint32(len(v)))
-			binary.LittleEndian.PutUint32(stat[8:], 0)
-			return idx.Upsert(w, cur, k, stat[:], func(existing, incoming []byte) ([]byte, error) {
-				count := binary.LittleEndian.Uint32(existing[0:]) + 1
-				vb := binary.LittleEndian.Uint32(existing[4:]) + binary.LittleEndian.Uint32(incoming[4:])
-				binary.LittleEndian.PutUint32(existing[0:], count)
-				binary.LittleEndian.PutUint32(existing[4:], vb)
-				return existing, nil
-			})
-		})
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	// Reserve all records serially in merged first-appearance order.
-	out := NewKMVC(arena, pageSize, hint)
-	err = idx.Scan(func(k, v []byte) error {
-		count := int(binary.LittleEndian.Uint32(v[0:]))
-		valBytes := int(binary.LittleEndian.Uint32(v[4:]))
-		id, err := out.NewRecord(k, count, valBytes)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(v[8:], uint32(id))
-		return nil
-	})
-	if err != nil {
-		out.Free()
-		return nil, nil, err
-	}
-
-	// Pass 2: scatter values page by page. All workers finish a page before
-	// it is freed, mirroring Drain's early release; the container is empty
-	// afterwards, even on error.
-	npages := in.buf.numPages()
-	in.nkv = 0
-	var firstErr error
-	for i := 0; i < npages; i++ {
-		if firstErr == nil {
-			p, err := in.buf.pinPage(i)
-			if err != nil {
-				firstErr = err
-			} else {
-				err := parallelShards(workers, func(w int) error {
-					return in.scanPage(p, func(k, v []byte) error {
-						if idx.ShardOf(k) != w {
-							return nil
-						}
-						sv, ok := idx.Get(k)
-						if !ok {
-							return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
-						}
-						return out.AppendValue(int(binary.LittleEndian.Uint32(sv[8:])), v)
-					})
-				})
-				in.buf.unpinPage(i)
-				if err != nil {
-					firstErr = err
-				}
-			}
-		}
-		in.buf.freePage(i)
-	}
-	in.buf.clear()
-	if firstErr != nil {
-		out.Free()
-		return nil, nil, firstErr
-	}
-	return out, work, nil
-}
-
-// parallelShards runs fn(w) for every shard worker concurrently and returns
-// the lowest-numbered worker's error, so a multi-worker failure reports the
-// same error on every run regardless of goroutine scheduling.
-func parallelShards(workers int, fn func(w int) error) error {
-	if workers == 1 {
-		return fn(0)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// mergeStat folds one more value into a convert pass-1 stat record.
+func mergeStat(existing, incoming []byte) ([]byte, error) {
+	count := binary.LittleEndian.Uint32(existing[0:]) + 1
+	vb := binary.LittleEndian.Uint32(existing[4:]) + binary.LittleEndian.Uint32(incoming[4:])
+	binary.LittleEndian.PutUint32(existing[0:], count)
+	binary.LittleEndian.PutUint32(existing[4:], vb)
+	return existing, nil
 }

@@ -108,7 +108,7 @@ func FuzzConvert(f *testing.F) {
 			want = append(want, kv{string(k), string(v)})
 		}
 
-		kmv, err := Convert(kvc, arena, 256, hint)
+		kmv, err := Convert(nil, kvc, arena, 256, hint, 1, nil, nil)
 		if err != nil {
 			t.Fatalf("Convert: %v", err)
 		}

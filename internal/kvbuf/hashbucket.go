@@ -115,7 +115,12 @@ func (b *Bucket) find(h uint64, k []byte) int32 {
 
 // Get returns the value stored for k. The slice aliases bucket memory.
 func (b *Bucket) Get(k []byte) ([]byte, bool) {
-	i := b.find(HashKey(k), k)
+	return b.getHashed(HashKey(k), k)
+}
+
+// getHashed is Get for a caller that already holds k's HashKey.
+func (b *Bucket) getHashed(h uint64, k []byte) ([]byte, bool) {
+	i := b.find(h, k)
 	if i < 0 {
 		return nil, false
 	}
@@ -140,7 +145,11 @@ func (b *Bucket) Put(k, v []byte) error {
 // which reduces these two KVs into a single KV. The existing KV in the hash
 // bucket then is replaced with the reduced version."
 func (b *Bucket) Upsert(k, v []byte, merge func(existing, incoming []byte) ([]byte, error)) error {
-	h := HashKey(k)
+	return b.upsertHashed(HashKey(k), k, v, merge)
+}
+
+// upsertHashed is Upsert for a caller that already holds k's HashKey.
+func (b *Bucket) upsertHashed(h uint64, k, v []byte, merge func(existing, incoming []byte) ([]byte, error)) error {
 	i := b.find(h, k)
 	if i < 0 {
 		return b.insert(h, k, v)

@@ -153,7 +153,8 @@ func (c *KMVC) Scan(fn func(key []byte, vals *ValueIter) error) error {
 // count. Without a PageStore attached, concurrent ScanRange calls over
 // disjoint ranges are safe (pinning is a no-op and every read is confined
 // to the range's records), which is what lets the reduce phase run record
-// shards on a worker pool.
+// shards on a worker pool. One iterator serves every record of the call,
+// so fn must not keep vals past its return.
 func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error) error {
 	if lo < 0 {
 		lo = 0
@@ -161,6 +162,7 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 	if hi > len(c.recs) {
 		hi = len(c.recs)
 	}
+	it := new(ValueIter)
 	for i := lo; i < hi; i++ {
 		rec := &c.recs[i]
 		if rec.written != rec.nvals {
@@ -176,7 +178,7 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 		pos := c.hint.Key.headerSize() + 4
 		key := buf[pos : pos+rec.keyLen]
 		pos += c.hint.Key.dataSize(rec.keyLen)
-		it := &ValueIter{buf: buf[pos:], n: rec.nvals, mode: c.hint.Val}
+		*it = ValueIter{buf: buf[pos:], n: rec.nvals, mode: c.hint.Val}
 		err := fn(key, it)
 		c.buf.unpinPage(rec.r.page())
 		if err != nil {

@@ -6,13 +6,15 @@ import (
 	"mimir/internal/mem"
 )
 
-// ShardedBucket partitions a Bucket's key space across independent shard
-// buckets so concurrent workers can upsert disjoint shards without locks,
-// while Scan replays the entries in exactly the insertion order a single
-// serial Bucket would have produced. The contract that makes this work:
+// ShardedBucket is the engine's partial-reduction bucket and convert index:
+// a Bucket's key space partitioned across independent shard buckets so
+// concurrent workers can upsert disjoint shards without locks, while Scan
+// replays the entries in exactly the insertion order a single Bucket would
+// have produced. One shard is the serial case: it is that single Bucket.
+// The contract that makes several shards work:
 //
-//   - a key always belongs to the shard ShardOf(k), and only that shard's
-//     owning worker may Upsert it;
+//   - a key always belongs to the shard ShardOf(HashKey(k)), and only that
+//     shard's owning worker may Upsert it;
 //   - every Upsert is tagged with the key's global sequence number — the
 //     position in the serial KV stream of the KV that caused it;
 //   - each shard remembers the sequence at which each of its keys first
@@ -23,7 +25,7 @@ import (
 // is a simple minimum-front scan. The sequence tables live in plain Go
 // memory (8 bytes per unique key), deliberately outside the arena: they are
 // scaffolding of the execution mode, not job data, and vanish with the
-// bucket.
+// bucket. A single shard records none.
 //
 // Distinct shards may be operated concurrently; operations on one shard
 // must be serialized by its owner. Scan and Get require all writers to have
@@ -33,20 +35,20 @@ type ShardedBucket struct {
 	seqs   [][]uint64 // per shard: first-appearance seq of entry i
 }
 
-// NewShardedBucket creates a bucket sharded nshards ways. The shards never
-// spill and are not routed through a PageStore: sharded operation is the
-// purely in-memory execution mode (the spill store serializes access and
-// would defeat it).
-func NewShardedBucket(arena *mem.Arena, pageSize, nshards int) (*ShardedBucket, error) {
+// NewShardedBucket creates a bucket sharded nshards ways. A non-nil room
+// routes the shards' arena charges through a spill store's Reserve (see
+// NewBucketOn); the store is not safe for concurrent use, so callers pass
+// one only with a single shard.
+func NewShardedBucket(room PageStore, arena *mem.Arena, pageSize, nshards int) (*ShardedBucket, error) {
 	if nshards < 1 {
 		return nil, fmt.Errorf("kvbuf: sharded bucket needs >= 1 shards, got %d", nshards)
 	}
-	b := &ShardedBucket{
-		shards: make([]*Bucket, nshards),
-		seqs:   make([][]uint64, nshards),
+	b := &ShardedBucket{shards: make([]*Bucket, nshards)}
+	if nshards > 1 {
+		b.seqs = make([][]uint64, nshards)
 	}
 	for i := range b.shards {
-		s, err := NewBucket(arena, pageSize)
+		s, err := NewBucketOn(room, arena, pageSize)
 		if err != nil {
 			b.Free()
 			return nil, err
@@ -59,18 +61,27 @@ func NewShardedBucket(arena *mem.Arena, pageSize, nshards int) (*ShardedBucket, 
 // NumShards returns the shard count.
 func (b *ShardedBucket) NumShards() int { return len(b.shards) }
 
-// ShardOf returns the shard owning key k. It reuses the key hash that
-// routes KVs to ranks, so sharding adds no new hash pass.
-func (b *ShardedBucket) ShardOf(k []byte) int {
-	return int(HashKey(k) % uint64(len(b.shards)))
+// ShardOf returns the shard owning the key whose HashKey is h. It reuses
+// the key hash that routes KVs to ranks, so sharding adds no hash pass,
+// but reads its high half: ranks route by h mod P, and sharding by the low
+// bits too would hand all of a rank's keys to one shard whenever the shard
+// count shares a factor with P. The low bits stay free for the shard's own
+// hash slots. The high half is scaled onto [0, shards) by a multiply and a
+// shift rather than a division, which costs nothing on the one-shard path.
+func (b *ShardedBucket) ShardOf(h uint64) int {
+	return int((h >> 32) * uint64(len(b.shards)) >> 32)
 }
 
-// Upsert merges (k, v) into shard (which must equal ShardOf(k)), recording
-// seq if the key is new. Only the shard's owning worker may call this.
-func (b *ShardedBucket) Upsert(shard int, seq uint64, k, v []byte, merge func(existing, incoming []byte) ([]byte, error)) error {
+// Upsert merges (k, v) into shard (which must equal ShardOf(h), h being
+// HashKey(k)), recording seq if the key is new. Only the shard's owning
+// worker may call this.
+func (b *ShardedBucket) Upsert(shard int, seq, h uint64, k, v []byte, merge func(existing, incoming []byte) ([]byte, error)) error {
 	s := b.shards[shard]
+	if b.seqs == nil {
+		return s.upsertHashed(h, k, v, merge)
+	}
 	before := s.Len()
-	if err := s.Upsert(k, v, merge); err != nil {
+	if err := s.upsertHashed(h, k, v, merge); err != nil {
 		return err
 	}
 	if s.Len() > before {
@@ -79,9 +90,10 @@ func (b *ShardedBucket) Upsert(shard int, seq uint64, k, v []byte, merge func(ex
 	return nil
 }
 
-// Get returns the value stored for k. The slice aliases bucket memory.
-func (b *ShardedBucket) Get(k []byte) ([]byte, bool) {
-	return b.shards[b.ShardOf(k)].Get(k)
+// Get returns the value stored for k, whose HashKey is h. The slice
+// aliases bucket memory.
+func (b *ShardedBucket) Get(h uint64, k []byte) ([]byte, bool) {
+	return b.shards[b.ShardOf(h)].getHashed(h, k)
 }
 
 // Len returns the number of unique keys across all shards.
@@ -105,10 +117,13 @@ func (b *ShardedBucket) MemoryBytes() int64 {
 }
 
 // Scan calls fn for every (key, value) in global first-appearance order —
-// the insertion order a single serial Bucket fed the same KV stream would
-// have — by merging the shards on their recorded sequences. Slices alias
-// bucket memory.
+// the insertion order a single Bucket fed the same KV stream would have —
+// by merging the shards on their recorded sequences. Slices alias bucket
+// memory.
 func (b *ShardedBucket) Scan(fn func(k, v []byte) error) error {
+	if b.seqs == nil {
+		return b.shards[0].Scan(fn)
+	}
 	cur := make([]int, len(b.shards))
 	remaining := b.Len()
 	for ; remaining > 0; remaining-- {
@@ -149,3 +164,8 @@ func (b *ShardedBucket) Free() {
 func (b *ShardedBucket) String() string {
 	return fmt.Sprintf("ShardedBucket{shards=%d keys=%d mem=%dB}", len(b.shards), b.Len(), b.MemoryBytes())
 }
+
+// Fanout runs fn(w) for every w in [0, n), concurrently when n > 1, and
+// returns the lowest-numbered worker's error, so a multi-worker failure
+// reports the same error on every run regardless of scheduling.
+type Fanout func(n int, fn func(w int) error) error

@@ -3,6 +3,7 @@ package kvbuf
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"mimir/internal/mem"
@@ -35,14 +36,69 @@ func feedSharded(t testing.TB, sb *ShardedBucket, stream [][2][]byte) {
 		for _, kv := range stream {
 			cur := seq
 			seq++
-			if sb.ShardOf(kv[0]) != w {
+			h := HashKey(kv[0])
+			if sb.ShardOf(h) != w {
 				continue
 			}
-			if err := sb.Upsert(w, cur, kv[0], kv[1], shardMerge); err != nil {
+			if err := sb.Upsert(w, cur, h, kv[0], kv[1], shardMerge); err != nil {
 				t.Fatalf("sharded upsert(%q): %v", kv[0], err)
 			}
 		}
 	}
+}
+
+// fanGo is a Fanout that runs every worker on its own goroutine.
+func fanGo(n int, fn func(w int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kmvOracle is the naive convert reference: a Go map of each key's values
+// in arrival order plus the keys' first-appearance order.
+type kmvOracle struct {
+	order []string
+	vals  map[string][]string
+}
+
+func newKMVOracle(stream [][2][]byte) *kmvOracle {
+	o := &kmvOracle{vals: map[string][]string{}}
+	for _, kv := range stream {
+		k := string(kv[0])
+		if _, seen := o.vals[k]; !seen {
+			o.order = append(o.order, k)
+		}
+		o.vals[k] = append(o.vals[k], string(kv[1]))
+	}
+	return o
+}
+
+// bytes returns the payload bytes a KMV container of hint holds for the
+// oracle's records, each sized exactly.
+func (o *kmvOracle) bytes(hint Hint) int64 {
+	c := &KMVC{hint: hint}
+	var n int64
+	for _, k := range o.order {
+		valBytes := 0
+		for _, v := range o.vals[k] {
+			valBytes += len(v)
+		}
+		n += int64(c.recordSize(len(k), len(o.vals[k]), valBytes))
+	}
+	return n
 }
 
 func collectBucket(t testing.TB, scan func(func(k, v []byte) error) error) [][2]string {
@@ -82,7 +138,7 @@ func TestShardedBucketMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sb, err := NewShardedBucket(arena, 512, workers)
+			sb, err := NewShardedBucket(nil, arena, 512, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +158,7 @@ func TestShardedBucketMatchesSerial(t *testing.T) {
 				}
 			}
 			for _, kv := range stream[:50] {
-				sv, ok := sb.Get(kv[0])
+				sv, ok := sb.Get(HashKey(kv[0]), kv[0])
 				rv, rok := ref.Get(kv[0])
 				if ok != rok || !bytes.Equal(sv, rv) {
 					t.Fatalf("Get(%q): sharded (%q, %v), serial (%q, %v)", kv[0], sv, ok, rv, rok)
@@ -119,9 +175,10 @@ func TestShardedBucketMatchesSerial(t *testing.T) {
 }
 
 // TestConvertParallelMatchesSerial proves the sharded two-pass convert
-// produces the identical KMV container as the serial algorithm — same
-// record order, same per-record value order, same payload bytes — for
-// several worker counts and page sizes.
+// produces the KMV container a naive map-based grouping predicts — keys in
+// first-appearance order, values in arrival order, every record sized
+// exactly — for several worker counts and page sizes, and that each shard
+// is charged its keys' encoded bytes.
 func TestConvertParallelMatchesSerial(t *testing.T) {
 	type rec struct {
 		key  string
@@ -141,38 +198,43 @@ func TestConvertParallelMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
+	var stream [][2][]byte
+	for i := 0; i < 500; i++ {
+		stream = append(stream, [2][]byte{[]byte(fmt.Sprintf("w%d", i%83)), []byte(fmt.Sprintf("value-%d", i))})
+	}
 	build := func(arena *mem.Arena, pageSize int) *KVC {
 		kvc := NewKVC(arena, pageSize, DefaultHint())
-		for i := 0; i < 500; i++ {
-			k := []byte(fmt.Sprintf("w%d", i%83))
-			v := []byte(fmt.Sprintf("value-%d", i))
-			if err := kvc.Append(k, v); err != nil {
+		for _, kv := range stream {
+			if err := kvc.Append(kv[0], kv[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return kvc
 	}
+	oracle := newKMVOracle(stream)
+	wantBytes := oracle.bytes(DefaultHint())
 
 	for _, pageSize := range []int{256, 4096} {
 		arena := mem.NewArena(0)
-		in := build(arena, pageSize)
-		ref, err := Convert(in, arena, pageSize, DefaultHint())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := collect(ref)
-		wantBytes := ref.Bytes()
-
 		for _, workers := range []int{1, 2, 3, 8} {
 			t.Run(fmt.Sprintf("page=%d/workers=%d", pageSize, workers), func(t *testing.T) {
 				in := build(arena, pageSize)
-				kmv, work, err := ConvertParallel(in, arena, pageSize, DefaultHint(), workers)
+				inBytes := in.Bytes()
+				work := make([]int64, workers)
+				var mu sync.Mutex
+				charges := 0
+				kmv, err := Convert(nil, in, arena, pageSize, DefaultHint(), workers, fanGo, func(w int, n int64) {
+					mu.Lock()
+					defer mu.Unlock()
+					work[w] += n
+					charges++
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer kmv.Free()
-				if len(work) != workers {
-					t.Fatalf("work slice has %d entries, want %d", len(work), workers)
+				if charges != workers {
+					t.Fatalf("%d shard charges, want %d", charges, workers)
 				}
 				var total int64
 				for _, wb := range work {
@@ -181,24 +243,26 @@ func TestConvertParallelMatchesSerial(t *testing.T) {
 				if total == 0 {
 					t.Fatal("per-worker work accounting is empty")
 				}
-				if kmv.NumKMV() != ref.NumKMV() || kmv.Bytes() != wantBytes {
-					t.Fatalf("parallel KMV: %d records / %d bytes, serial %d / %d",
-						kmv.NumKMV(), kmv.Bytes(), ref.NumKMV(), wantBytes)
+				if total != inBytes {
+					t.Fatalf("shards charged %d bytes in all, input holds %d encoded bytes", total, inBytes)
+				}
+				if kmv.NumKMV() != len(oracle.order) || kmv.Bytes() != wantBytes {
+					t.Fatalf("parallel KMV: %d records / %d bytes, oracle %d / %d",
+						kmv.NumKMV(), kmv.Bytes(), len(oracle.order), wantBytes)
 				}
 				got := collect(kmv)
-				for i := range want {
-					if got[i].key != want[i].key {
-						t.Fatalf("record %d key %q, serial %q", i, got[i].key, want[i].key)
+				for i, key := range oracle.order {
+					if got[i].key != key {
+						t.Fatalf("record %d key %q, oracle %q", i, got[i].key, key)
 					}
-					for j := range want[i].vals {
-						if got[i].vals[j] != want[i].vals[j] {
-							t.Fatalf("record %d value %d: %q, serial %q", i, j, got[i].vals[j], want[i].vals[j])
+					for j, want := range oracle.vals[key] {
+						if got[i].vals[j] != want {
+							t.Fatalf("record %d value %d: %q, oracle %q", i, j, got[i].vals[j], want)
 						}
 					}
 				}
 			})
 		}
-		ref.Free()
 		if arena.Used() != 0 {
 			t.Fatalf("page=%d: arena holds %d bytes (leak)", pageSize, arena.Used())
 		}
@@ -206,8 +270,8 @@ func TestConvertParallelMatchesSerial(t *testing.T) {
 }
 
 // FuzzShardMerge feeds arbitrary KV streams through the sharded bucket and
-// the sharded convert, checking both against their serial references for
-// exact ordering and KMV sizing.
+// the sharded convert, checking the bucket against a single Bucket and the
+// convert against the naive map oracle, for exact ordering and KMV sizing.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte("the quick brown fox the lazy dog the end"), uint8(4))
 	f.Add([]byte("aaaa bb c dddddd bb aaaa"), uint8(2))
@@ -245,7 +309,7 @@ func FuzzShardMerge(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		sb, err := NewShardedBucket(arena, 256, workers)
+		sb, err := NewShardedBucket(nil, arena, 256, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,40 +339,40 @@ func FuzzShardMerge(f *testing.F) {
 			}
 			return kvc
 		}
-		serial, err := Convert(load(), arena, 256, hint)
+		oracle := newKMVOracle(stream)
+		parallel, err := Convert(nil, load(), arena, 256, hint, workers, fanGo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, _, err := ConvertParallel(load(), arena, 256, hint, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.NumKMV() != serial.NumKMV() || parallel.Bytes() != serial.Bytes() {
-			t.Fatalf("workers=%d: parallel KMV %d records / %d bytes, serial %d / %d",
-				workers, parallel.NumKMV(), parallel.Bytes(), serial.NumKMV(), serial.Bytes())
+		if parallel.NumKMV() != len(oracle.order) || parallel.Bytes() != oracle.bytes(hint) {
+			t.Fatalf("workers=%d: parallel KMV %d records / %d bytes, oracle %d / %d",
+				workers, parallel.NumKMV(), parallel.Bytes(), len(oracle.order), oracle.bytes(hint))
 		}
 		type entry struct{ key, vals string }
-		flatten := func(c *KMVC) []entry {
-			var out []entry
-			if err := c.Scan(func(key []byte, vals *ValueIter) error {
-				e := entry{key: string(key)}
-				for v, ok := vals.Next(); ok; v, ok = vals.Next() {
-					e.vals += fmt.Sprintf("%d:%q,", len(v), v)
-				}
-				out = append(out, e)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+		var wantKMV []entry
+		for _, k := range oracle.order {
+			e := entry{key: k}
+			for _, v := range oracle.vals[k] {
+				e.vals += fmt.Sprintf("%d:%q,", len(v), v)
 			}
-			return out
+			wantKMV = append(wantKMV, e)
 		}
-		se, pe := flatten(serial), flatten(parallel)
-		for i := range se {
-			if se[i] != pe[i] {
-				t.Fatalf("workers=%d KMV record %d: parallel %+v, serial %+v", workers, i, pe[i], se[i])
+		var gotKMV []entry
+		if err := parallel.Scan(func(key []byte, vals *ValueIter) error {
+			e := entry{key: string(key)}
+			for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+				e.vals += fmt.Sprintf("%d:%q,", len(v), v)
+			}
+			gotKMV = append(gotKMV, e)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantKMV {
+			if wantKMV[i] != gotKMV[i] {
+				t.Fatalf("workers=%d KMV record %d: parallel %+v, oracle %+v", workers, i, gotKMV[i], wantKMV[i])
 			}
 		}
-		serial.Free()
 		parallel.Free()
 		if arena.Used() != 0 {
 			t.Fatalf("arena holds %d bytes after Free (leak)", arena.Used())

@@ -39,11 +39,7 @@ func (c *Comm) Barrier() error {
 	_, err := c.exchange(nil, func([][]byte) float64 {
 		return c.world.net.Barrier(c.world.size)
 	})
-	if err != nil {
-		return err
-	}
-	c.world.trace(c.rank, "barrier", 0)
-	return nil
+	return err
 }
 
 // Alltoallv exchanges variable-sized byte buffers with every rank: send[i]
@@ -69,7 +65,6 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.world.trace(c.rank, "alltoallv", sendBytes)
 	return recv, nil
 }
 
@@ -155,7 +150,6 @@ func (c *Comm) AllreduceInt64(vals []int64, op Op) ([]int64, error) {
 			out[i] = op.apply(out[i], v)
 		}
 	}
-	c.world.trace(c.rank, "allreduce", 8*len(vals))
 	return out, nil
 }
 
@@ -172,7 +166,6 @@ func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
 	for src, b := range recv {
 		out[src] = int64(binary.BigEndian.Uint64(b))
 	}
-	c.world.trace(c.rank, "allgather", 8)
 	return out, nil
 }
 
@@ -189,7 +182,6 @@ func (c *Comm) Allgatherv(b []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.world.trace(c.rank, "allgatherv", len(b))
 	return out, nil
 }
 
@@ -213,7 +205,6 @@ func (c *Comm) Bcast(b []byte, root int) ([]byte, error) {
 	if out == nil {
 		out = []byte{}
 	}
-	c.world.trace(c.rank, "bcast", len(out))
 	return out, nil
 }
 

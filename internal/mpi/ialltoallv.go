@@ -77,7 +77,6 @@ func (c *Comm) Ialltoallv(send [][]byte) *AlltoallvRequest {
 		req.completeAt = tmax + c.world.net.Alltoallv(c.world.size, sendBytes, recvBytes)
 	}
 	req.recv = recv
-	c.world.trace(c.rank, "ialltoallv", sendBytes)
 	return req
 }
 

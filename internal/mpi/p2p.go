@@ -25,11 +25,8 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 		ck.ObserveSpan(ck.Now()-t0, simtime.Comm)
 	} else {
 		ck.Advance(c.world.net.PointToPoint(len(data)), simtime.Comm)
-		if err := c.ep.Send(dst, tag, data, ck.Now()); err != nil {
-			return err
-		}
+		return c.ep.Send(dst, tag, data, ck.Now())
 	}
-	c.world.trace(c.rank, "send", len(data))
 	return nil
 }
 
@@ -50,6 +47,5 @@ func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int, err er
 	} else {
 		ck.SyncTo(m.Time)
 	}
-	c.world.trace(c.rank, "recv", len(m.Data))
 	return m.Data, m.Src, m.Tag, nil
 }

@@ -73,8 +73,6 @@ type World struct {
 	local  []int
 
 	abortOnce sync.Once
-
-	tracer Tracer
 }
 
 // NewWorld creates a world over cfg.Transport (default: in-process with

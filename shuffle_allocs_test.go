@@ -10,13 +10,18 @@ package mimir_test
 //     constant per chunk (page-pool bookkeeping), not per KV;
 //   - the TCP send path costs a small constant per FRAME (replay-ledger
 //     append, pooled-buffer boxing, one Frame header on the receive side),
-//     independent of payload size.
+//     independent of payload size;
+//   - a whole in-process job — batched map, exchange, partial reduction or
+//     convert + reduce — costs a small constant per JOB at every worker
+//     count: the worker pool is long-lived and the map staging is reused,
+//     so no fan-out allocates per KV or per batch.
 //
 // The pins run only without the race detector: -race instruments every
 // allocation and makes sync.Pool deliberately drop items, so AllocsPerRun
 // measures the instrumentation, not the code (see raceEnabled).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -150,4 +155,51 @@ func TestShuffleAllocs(t *testing.T) {
 		}
 		t.Logf("TCP send/recv: %.1f allocs per 64KiB frame", n)
 	})
+
+	recs := shuffleWords(0, shuffleKVsPerRank)
+	one := mimir.Uint64Bytes(1)
+	mapFn := func(rec mimir.Record, e mimir.Emitter) error { return e.Emit(rec.Val, one) }
+	firstValue := func(k []byte, vals *mimir.ValueIter, e mimir.Emitter) error {
+		v, _ := vals.Next()
+		return e.Emit(k, v)
+	}
+	sum := func(_, a, b []byte) ([]byte, error) {
+		binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
+		return a, nil
+	}
+	for _, shape := range []string{"reduce", "pr"} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("job/%s/workers=%d", shape, workers), func(t *testing.T) {
+				world := mimir.NewWorld(1)
+				arena := mimir.NewArena(0)
+				run := func() {
+					err := world.Run(func(c *mimir.Comm) error {
+						cfg := mimir.Config{Arena: arena, CommBuf: 3 << 20, Hint: hint, Workers: workers}
+						reduceFn := firstValue
+						if shape == "pr" {
+							cfg.PartialReduce, reduceFn = sum, nil
+						}
+						out, err := mimir.NewJob(c, cfg).Run(mimir.SliceInput(recs), mapFn, reduceFn)
+						if err != nil {
+							return err
+						}
+						out.Free()
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				run() // warm the page pool
+				n := testing.AllocsPerRun(5, run)
+				// Per job: the pool's goroutines, staging growth, the
+				// containers' page tables — a few hundred allocations over
+				// 64Ki KVs, where one allocation per batch would add 0.002.
+				if perKV := n / shuffleKVsPerRank; perKV > 0.02 {
+					t.Errorf("whole %s job at Workers=%d: %v allocs/KV, want <= 0.02", shape, workers, perKV)
+				}
+				t.Logf("whole %s job at Workers=%d: %.0f allocs per %d KVs", shape, workers, n, shuffleKVsPerRank)
+			})
+		}
+	}
 }
