@@ -2,6 +2,7 @@ package jobsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -374,4 +375,62 @@ func serveOnLoopback(t *testing.T, s *Server) string {
 	}
 	go s.Serve(ln)
 	return ln.Addr().String()
+}
+
+// TestRejoinSkipsFailedAttemptSeat: a member that rejoins after a build
+// attempt failed must wait for the next attempt's seat. Answering with the
+// failed attempt's seat sends it to a bootstrap that is gone, where it dials
+// until its own bootstrap timeout and misses the next attempt too.
+func TestRejoinSkipsFailedAttemptSeat(t *testing.T) {
+	s := newTestServer(t, LocalMesh(testRanks), 0)
+	view, _ := s.Members()
+	var member membership.MemberID
+	for _, mb := range view.Members {
+		if mb.Rank == 1 {
+			member = mb.ID
+		}
+	}
+	alive := func(membership.Member) bool { return true }
+
+	failed, err := s.coord.Plan(testRanks, alive, membership.KindLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.publishAttach(failed, "127.0.0.1:1")
+	s.coord.Fail(failed, "test: bootstrap never completed")
+	s.withdrawAttach()
+
+	var buf bytes.Buffer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleRejoin(json.NewEncoder(&buf), Request{Op: "rejoin", Member: member,
+			Token: membership.Token(s.secret, member)})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !s.hasParked(member) {
+		select {
+		case <-done:
+			t.Fatalf("rejoin answered before the next attempt published: %s", buf.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rejoin neither answered nor parked")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	next, err := s.coord.Plan(testRanks, alive, membership.KindLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.publishAttach(next, "127.0.0.1:2")
+	<-done
+	var ev Event
+	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Event != EvRemesh || ev.Remesh == nil || ev.Remesh.Addr != "127.0.0.1:2" || ev.Remesh.Epoch != next.View.Epoch {
+		t.Fatalf("rejoin answer %+v, want the next attempt's seat (epoch %d at 127.0.0.1:2)", ev, next.View.Epoch)
+	}
 }

@@ -228,13 +228,17 @@ func (m *elasticManager) build(spec MeshSpec) (Mesh, error) {
 	if err != nil {
 		return Mesh{}, err
 	}
+	seated := make([]membership.MemberID, 0, spec.Size)
 	for rank := 1; rank < spec.Size; rank++ {
 		if err := m.fork(rank, spec.Size, spec.Epoch, b.Addr(), spec.Workers[rank]); err != nil {
 			m.reapAll(0)
 			return Mesh{}, err
 		}
+		seated = append(seated, spec.Workers[rank].Member)
 	}
+	stop := m.cancelOnExit(b, seated)
 	t, err := b.Accept()
+	stop()
 	if err != nil {
 		m.reapAll(2 * time.Second)
 		return Mesh{}, err
@@ -307,13 +311,20 @@ func (m *elasticManager) resize(old *transport.TCP, spec ResizeSpec) (Mesh, erro
 	}
 	// The old incarnation ends here either way; survivors are mid-flight.
 	old.Close()
+	seated := make([]membership.MemberID, 0, len(spec.Survivors)+len(spec.Fresh))
+	for _, seat := range spec.Survivors {
+		seated = append(seated, seat.Member)
+	}
 	for rank, cred := range spec.Fresh {
 		if err := m.fork(rank, spec.Size, spec.Epoch, b.Addr(), cred); err != nil {
 			b.Close()
 			return Mesh{}, err
 		}
+		seated = append(seated, cred.Member)
 	}
+	stop := m.cancelOnExit(b, seated)
 	t, err := b.Accept()
+	stop()
 	if err != nil {
 		return Mesh{}, err
 	}
@@ -336,6 +347,33 @@ func (m *elasticManager) resize(old *transport.TCP, spec ResizeSpec) (Mesh, erro
 	}
 	m.mu.Unlock()
 	return m.mesh(t), nil
+}
+
+// cancelOnExit cancels b as soon as the process serving any of members
+// exits, and returns the func that stops watching. A seat whose process is
+// gone will never dial in. That happens after a crash: the liveness probe
+// can run before the dead worker has been reaped, so the plan seats it as
+// a survivor. Cancelling fails the attempt at once instead of after the
+// bootstrap timeout, and the next attempt probes again. Members without a
+// process (external joiners) are not watched.
+func (m *elasticManager) cancelOnExit(b *transport.Bootstrap, members []membership.MemberID) (stop func()) {
+	quit := make(chan struct{})
+	m.mu.Lock()
+	for _, id := range members {
+		p, ok := m.procs[id]
+		if !ok {
+			continue
+		}
+		go func(id membership.MemberID, p *elasticProc) {
+			select {
+			case <-p.done:
+				b.Cancel(fmt.Errorf("jobsvc: the process of member %d exited", id))
+			case <-quit:
+			}
+		}(id, p)
+	}
+	m.mu.Unlock()
+	return func() { close(quit) }
 }
 
 func (m *elasticManager) reapAll(grace time.Duration) {

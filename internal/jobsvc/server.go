@@ -500,6 +500,9 @@ func (s *Server) transition(o transOpts) error {
 	var err error
 	const maxAttempts = 3
 	for attempt := 0; ; attempt++ {
+		if o.crash || attempt > 0 {
+			s.settleCallbacks(old)
+		}
 		plan, err = s.coord.Plan(target, s.aliveFn(old, o, attempt), s.cfg.Mesh.WorkerKind())
 		if err != nil {
 			break
@@ -509,6 +512,7 @@ func (s *Server) transition(o transOpts) error {
 			break
 		}
 		s.coord.Fail(plan, err.Error())
+		s.withdrawAttach()
 		s.logf("jobsvc: epoch %d build failed: %v", plan.View.Epoch, err)
 		graceful = false // whatever state the old mesh was in, it is gone now
 		oldClosed = true
@@ -564,6 +568,37 @@ func (s *Server) aliveFn(old Mesh, o transOpts, attempt int) func(membership.Mem
 			return s.hasParked(mb.ID)
 		}
 		return mb.Rank != o.suspect
+	}
+}
+
+// settleTimeout bounds settleCallbacks.
+const settleTimeout = 5 * time.Second
+
+// settleCallbacks waits, for at most settleTimeout, until every spawned
+// worker has either exited or called back through the admin socket to
+// rejoin. It runs before a transition probes liveness. A crash reaches the
+// server through the mesh before the dead process is reaped, so a probe
+// made at once can seat the dead worker as a survivor; its seat never dials
+// in, and the attempt fails. Every live worker of a dead incarnation calls
+// back, so the wait lasts only as long as the slowest survivor takes to
+// notice. Meshes that cannot probe processes skip it.
+func (s *Server) settleCallbacks(old Mesh) {
+	if old.Alive == nil {
+		return
+	}
+	deadline := time.Now().Add(settleTimeout)
+	for {
+		settled := true
+		for _, mb := range s.coord.View().Members {
+			if mb.Rank != 0 && mb.Kind == membership.KindSpawned && old.Alive(mb.ID) && !s.hasParked(mb.ID) {
+				settled = false
+				break
+			}
+		}
+		if settled || time.Now().After(deadline) {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -665,6 +700,16 @@ func (s *Server) publishAttach(plan membership.Plan, addr string) {
 			delete(s.parked, id)
 		}
 	}
+}
+
+// withdrawAttach forgets the seats a failed build attempt published. Their
+// bootstrap is gone: a member that rejoins now parks until the next attempt
+// publishes, rather than dialing the dead address until its bootstrap
+// timeout and missing that attempt too.
+func (s *Server) withdrawAttach() {
+	s.mu.Lock()
+	s.attach = nil
+	s.mu.Unlock()
 }
 
 // rebalance repartitions every registered checkpoint to the new world size

@@ -80,6 +80,7 @@ func (p Policy) String() string {
 // pin, or every other member is asleep with no wake-up pending (mutual
 // hold-and-wait) — does ErrNoMemory escape.
 type Group struct {
+	turn    sync.Mutex // see Exclusive
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled on Unpin/Seal/Free (memory may be available)
 	tick    int64      // shared LRU clock, so lastUse is comparable across members
@@ -93,6 +94,21 @@ func NewGroup() *Group {
 	g := &Group{}
 	g.cond = sync.NewCond(&g.mu)
 	return g
+}
+
+// Exclusive admits one member rank at a time to a phase that holds memory
+// no store can evict, and returns the matching release. The engine takes a
+// turn for convert and reduce: both hold the convert index or the KMV record
+// table for their whole length, and the largest KMV record needs one
+// contiguous page. Two ranks holding all of that at once can outgrow the
+// node even when each alone fits, and eviction cannot help, since neither
+// rank's unevictable bytes are pages. Neither phase runs a collective, so
+// the rank holding the turn always finishes and releases it; a rank waiting
+// for its turn holds only pages, which the holder can evict. Turns cost wall
+// time only: each rank's simulated clock still charges just its own work.
+func (g *Group) Exclusive() (release func()) {
+	g.turn.Lock()
+	return g.turn.Unlock
 }
 
 // join adds s to the group's member list; idempotent. Callers hold g.mu.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -92,4 +93,73 @@ func TestBootstrapRejectsStaleEpochSoftly(t *testing.T) {
 	}
 	t1.Close()
 	t0.Close()
+}
+
+func TestBootstrapCancelFailsAcceptAtOnce(t *testing.T) {
+	// A worker that will never dial in: Cancel must end the pending Accept
+	// with its cause long before the bootstrap timeout.
+	b, err := ListenTCP(TCPConfig{Addr: "127.0.0.1:0", Rank: 0, Size: 2,
+		Deadline: 2 * time.Second, BootstrapTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("worker exited")
+	done := make(chan error, 1)
+	go func() {
+		tr, err := b.Accept()
+		if err == nil {
+			tr.Close()
+		}
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let Accept block
+	b.Cancel(cause)
+	select {
+	case err := <-done:
+		if !errors.Is(err, cause) {
+			t.Fatalf("Accept after Cancel: %v, want the cancel cause", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Accept still blocked after Cancel")
+	}
+}
+
+func TestBootstrapCancelAfterAdmissionIsIgnored(t *testing.T) {
+	// Once every worker has registered, a late Cancel must not tear down
+	// the world it completed.
+	cfg := TCPConfig{Addr: "127.0.0.1:0", Rank: 0, Size: 2,
+		Deadline: 2 * time.Second, BootstrapTimeout: 20 * time.Second}
+	b, err := ListenTCP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := make(chan *TCP, 1)
+	go func() {
+		w := cfg
+		w.Addr, w.Rank = b.Addr(), 1
+		tr, err := NewTCP(w)
+		if err != nil {
+			t.Error(err)
+		}
+		worker <- tr
+	}()
+	tr0, err := b.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr0.Close()
+	tr1 := <-worker
+	if tr1 == nil {
+		t.FailNow()
+	}
+	defer tr1.Close()
+	b.Cancel(errors.New("too late"))
+	ep0, ep1 := tr0.Endpoint(0), tr1.Endpoint(1)
+	if err := ep0.Send(1, 9, []byte("hi"), 0); err != nil {
+		t.Fatalf("send after late Cancel: %v", err)
+	}
+	m, err := ep1.Recv(0, 9)
+	if err != nil || string(m.Data) != "hi" {
+		t.Fatalf("recv after late Cancel: %q, %v", m.Data, err)
+	}
 }

@@ -843,6 +843,10 @@ func (t *TCP) start() (*TCP, error) {
 type Bootstrap struct {
 	cfg TCPConfig
 	ln  net.Listener
+
+	mu       sync.Mutex
+	admitted bool  // every worker registered; Cancel no longer applies
+	canceled error // set by Cancel
 }
 
 // ListenTCP binds rank 0's bootstrap listener. cfg.Rank must be 0.
@@ -869,6 +873,27 @@ func (b *Bootstrap) Addr() string { return b.ln.Addr().String() }
 // (Accept owns the listener's lifecycle once called).
 func (b *Bootstrap) Close() error { return b.ln.Close() }
 
+// Cancel fails a pending or future Accept with cause instead of letting it
+// wait out the bootstrap timeout: the caller knows a worker will never dial
+// in. It has no effect once every worker has registered, and only the first
+// cause counts.
+func (b *Bootstrap) Cancel(cause error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.admitted || b.canceled != nil {
+		return
+	}
+	b.canceled = cause
+	b.ln.Close()
+}
+
+// cancelErr returns the cause passed to Cancel, or nil.
+func (b *Bootstrap) cancelErr() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.canceled
+}
+
 // Accept waits for every worker to register, distributes the address table,
 // and returns rank 0's transport once the whole world is up. Under
 // RetryTransient the listener stays open for the life of the transport to
@@ -890,6 +915,9 @@ func (b *Bootstrap) Accept() (*TCP, error) {
 	for joined := 1; joined < b.cfg.Size; {
 		conn, err := b.ln.Accept()
 		if err != nil {
+			if cause := b.cancelErr(); cause != nil {
+				err = cause
+			}
 			return fail(fmt.Errorf("transport: bootstrap accept (%d of %d ranks joined): %w", joined, b.cfg.Size, err))
 		}
 		rank, err := b.admit(t, conn, addrs)
@@ -900,6 +928,13 @@ func (b *Bootstrap) Accept() (*TCP, error) {
 		if rank > 0 {
 			joined++
 		}
+	}
+	b.mu.Lock()
+	cause := b.canceled
+	b.admitted = cause == nil
+	b.mu.Unlock()
+	if cause != nil {
+		return fail(fmt.Errorf("transport: bootstrap accept (%d of %d ranks joined): %w", b.cfg.Size, b.cfg.Size, cause))
 	}
 	// Everyone registered; hand each worker the full table so workers can
 	// mesh among themselves.
