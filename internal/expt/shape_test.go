@@ -50,8 +50,8 @@ func TestShapeFig8PeakReductions(t *testing.T) {
 		reduction float64
 	}{
 		{"WC", Spec{Bench: WCUniform, SizeBytes: PaperSize("256M")}, 0.25},
-		{"OC", Spec{Bench: OC, Points: 1 << 14}, 0.34},  // 2^24 paper points
-		{"BFS", Spec{Bench: BFS, Scale: 9}, 0.64},       // 2^19 paper vertices
+		{"OC", Spec{Bench: OC, Points: 1 << 14}, 0.34}, // 2^24 paper points
+		{"BFS", Spec{Bench: BFS, Scale: 9}, 0.64},      // 2^19 paper vertices
 	}
 	for _, c := range cases {
 		mimirSpec, mrmpiSpec := c.spec, c.spec

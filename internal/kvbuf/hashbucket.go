@@ -3,6 +3,7 @@ package kvbuf
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 
 	"mimir/internal/mem"
 )
@@ -24,6 +25,8 @@ type Bucket struct {
 	data    *pagedBuf
 	entries []bucketEntry
 	heads   []int32
+	// shift maps a key hash onto heads; see slot.
+	shift uint
 	// garbage counts dead value bytes left behind by size-changing updates.
 	garbage int64
 	// headCharged is the arena charge currently held for the heads table.
@@ -80,15 +83,24 @@ func (b *Bucket) setHeads(n int) error {
 	}
 	b.headCharged = charge
 	b.heads = make([]int32, n)
+	b.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := range b.heads {
 		b.heads[i] = -1
 	}
 	for i := range b.entries {
-		slot := b.entries[i].hash & uint64(n-1)
+		slot := b.slot(b.entries[i].hash)
 		b.entries[i].next = b.heads[slot]
 		b.heads[slot] = int32(i)
 	}
 	return nil
+}
+
+// slot picks the chain for key hash h from the top bits of a Fibonacci
+// multiply. The low bits of h are not free to use directly: a rank only
+// holds keys with h % P == rank, so for even P they are fixed, and a mask
+// would crowd every key into 1/P of the slots.
+func (b *Bucket) slot(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> b.shift)
 }
 
 // Len returns the number of unique keys.
@@ -103,7 +115,7 @@ func (b *Bucket) MemoryBytes() int64 {
 func (b *Bucket) GarbageBytes() int64 { return b.garbage }
 
 func (b *Bucket) find(h uint64, k []byte) int32 {
-	for i := b.heads[h&uint64(len(b.heads)-1)]; i >= 0; i = b.entries[i].next {
+	for i := b.heads[b.slot(h)]; i >= 0; i = b.entries[i].next {
 		e := &b.entries[i]
 		if e.hash == h && int(e.keyLen) == len(k) &&
 			bytes.Equal(b.data.at(e.keyRef, int(e.keyLen)), k) {
@@ -196,7 +208,7 @@ func (b *Bucket) insert(h uint64, k, v []byte) error {
 		b.arena.Free(bucketEntryBytes)
 		return err
 	}
-	slot := h & uint64(len(b.heads)-1)
+	slot := b.slot(h)
 	b.entries = append(b.entries, bucketEntry{
 		hash: h, keyRef: kr, valRef: vr,
 		keyLen: int32(len(k)), valLen: int32(len(v)),

@@ -65,9 +65,10 @@ func (b *ShardedBucket) NumShards() int { return len(b.shards) }
 // the key hash that routes KVs to ranks, so sharding adds no hash pass,
 // but reads its high half: ranks route by h mod P, and sharding by the low
 // bits too would hand all of a rank's keys to one shard whenever the shard
-// count shares a factor with P. The low bits stay free for the shard's own
-// hash slots. The high half is scaled onto [0, shards) by a multiply and a
-// shift rather than a division, which costs nothing on the one-shard path.
+// count shares a factor with P. The low bits are just as skewed for the
+// shard's own hash slots, which is why Bucket mixes the whole hash to pick
+// one. The high half is scaled onto [0, shards) by a multiply and a shift
+// rather than a division, which costs nothing on the one-shard path.
 func (b *ShardedBucket) ShardOf(h uint64) int {
 	return int((h >> 32) * uint64(len(b.shards)) >> 32)
 }

@@ -14,7 +14,7 @@ import (
 //
 // Pooled buffers are NOT zeroed: a recycled page carries arbitrary stale
 // bytes past Used. Every consumer in this repo writes a range before reading
-// it (containers reserve-then-fill, spill restore copies the full spilled
+// it (containers reserve-then-fill, spill restore reads the full spilled
 // prefix, the core send set transmits only written partition prefixes), so
 // nothing observes the stale bytes.
 const (
@@ -22,10 +22,19 @@ const (
 	maxPageBits = 26 // 64 MiB — bigger buffers are too rare to hoard
 )
 
+// exactAbove is the size past which a pool miss that is not a power of two
+// allocates exactly n bytes instead of rounding up to its class: a 4.2 MiB
+// KMV page would otherwise hold 8 MiB of Go memory for 4.2 MiB of arena
+// charge. Such a buffer is filed by its capacity rounded down, so it is
+// reused by smaller requests only; small buffers keep the class rounding
+// that lets them recycle freely.
+const exactAbove = 1 << 20
+
 var pagePools [maxPageBits - minPageBits + 1]sync.Pool
 
-// getPageBuf returns a slice of length n (cap possibly larger, rounded to
-// the size class). Contents are arbitrary.
+// getPageBuf returns a slice of length n (cap possibly larger: a recycled
+// buffer, or a fresh one rounded up to the size class unless exactAbove
+// applies). Contents are arbitrary.
 func getPageBuf(n int) []byte {
 	if n <= 0 {
 		return nil
@@ -39,6 +48,9 @@ func getPageBuf(n int) []byte {
 	}
 	if v := pagePools[c].Get(); v != nil {
 		return v.([]byte)[:n]
+	}
+	if n > exactAbove && n&(n-1) != 0 {
+		return make([]byte, n)
 	}
 	return make([]byte, n, 1<<(minPageBits+c))
 }

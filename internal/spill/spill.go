@@ -615,20 +615,22 @@ func (s *Store) restore(st *pstate) error {
 			return fmt.Errorf("spill: restoring page: %w", err)
 		}
 	}
-	var data []byte
 	var err error
-	s.charged(func() {
-		data, err = s.cfg.FS.ReadAt(s.cfg.Clock, s.name, st.off, int64(st.spilledLen))
-	})
+	s.charged(func() { err = s.readBack(st) })
 	if err != nil {
 		st.page.Evict()
 		return fmt.Errorf("spill: reading back page: %w", err)
 	}
-	copy(st.page.Buf, data)
 	st.page.Used = st.spilledLen
 	s.stats.Restores++
 	s.stats.RestoredBytes += int64(st.spilledLen)
 	return nil
+}
+
+// readBack reads a restored page's spill copy straight into its buffer:
+// one copy per restore, and no fresh allocation to fault in.
+func (s *Store) readBack(st *pstate) error {
+	return s.cfg.FS.ReadInto(s.cfg.Clock, s.name, st.off, st.page.Buf[:st.spilledLen])
 }
 
 // prefetchAfter sequentially restores up to Prefetch evicted pages
@@ -653,16 +655,12 @@ func (s *Store) prefetchAfter(i int) {
 		if err := st.page.Restore(st.size); err != nil {
 			return
 		}
-		var data []byte
 		var err error
-		s.charged(func() {
-			data, err = s.cfg.FS.ReadAt(s.cfg.Clock, s.name, st.off, int64(st.spilledLen))
-		})
+		s.charged(func() { err = s.readBack(st) })
 		if err != nil {
 			st.page.Evict()
 			return
 		}
-		copy(st.page.Buf, data)
 		st.page.Used = st.spilledLen
 		st.prefetched = true
 		st.lastUse = s.nextTick()

@@ -82,6 +82,10 @@ type zipf struct {
 	hX0        float64
 	sConstant  float64
 	halfPowerS float64
+	// accept[k] is the left side of the acceptance test for rank k. It
+	// depends on k alone, so it is tabled once rather than paying two Exp
+	// and two Log per draw.
+	accept []float64
 }
 
 func newZipf(r *rng, s float64, imax uint64) *zipf {
@@ -90,6 +94,11 @@ func newZipf(r *rng, s float64, imax uint64) *zipf {
 	z.hX0 = z.h(0.5) - math.Exp(-s*math.Log(1))
 	z.sConstant = z.hX0 - z.hImax
 	z.halfPowerS = math.Exp(-s * math.Log(1.5))
+	z.accept = make([]float64, imax+1)
+	for i := uint64(1); i <= imax; i++ {
+		k := float64(i)
+		z.accept[i] = z.h(k+0.5) - math.Exp(-z.s*math.Log(k))
+	}
 	return z
 }
 
@@ -115,7 +124,7 @@ func (z *zipf) sample() uint64 {
 			k = z.imax
 		}
 		// Acceptance test (Devroye).
-		if z.h(k+0.5)-math.Exp(-z.s*math.Log(k)) <= z.hX0-u*z.sConstant {
+		if z.accept[int(k)] <= z.hX0-u*z.sConstant {
 			return uint64(k)
 		}
 	}
